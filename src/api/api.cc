@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "analyze/lint.h"
+#include "base/fileio.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "chase/chase.h"
@@ -108,8 +109,9 @@ constexpr const char* kUsage =
     "         --seeds N  --seed-start N   campaign size and first seed\n"
     "         --shape NAME       one family only: skolem-tower,\n"
     "                            pcp-near-divergent, high-fanout-join,\n"
-    "                            wide-guard, triangular-frontier\n"
-    "                            (default: rotate over all)\n"
+    "                            wide-guard, triangular-frontier,\n"
+    "                            degenerate (default: rotate over all\n"
+    "                            but degenerate)\n"
     "         --no-faults        skip fork-based crash/ENOSPC injection\n"
     "         --corpus-dir DIR   write shrunk reproducers here\n"
     "         --scratch-dir DIR  workspace (default: a temp dir)\n"
@@ -1351,6 +1353,15 @@ int RunCommand(const std::vector<std::string>& args, std::ostream& out,
     err << "tgdkit: --spill-dir is only supported by 'chase', 'certain' "
            "and 'explain'\n";
     return kExitUsage;
+  }
+  if (!ctx.limits.spill_dir.empty()) {
+    // An unusable spill directory fails the command; the engines never
+    // fall back to an in-core run behind the caller's back.
+    Status usable = MakeDirectories(ctx.limits.spill_dir);
+    if (!usable.ok()) {
+      err << "tgdkit: --spill-dir: " << usable.ToString() << "\n";
+      return ExitCodeForStatus(usable);
+    }
   }
   // The command itself landed in positional[0]; drop it.
   if (!ctx.positional.empty() && ctx.positional[0] == command) {

@@ -248,6 +248,15 @@ Status MakeDirectories(const std::string& path) {
     }
     start = slash + 1;
   }
+  // mkdir's EEXIST also covers a regular file of that name.
+  struct stat st;
+  if (stat(path.c_str(), &st) != 0) {
+    return IoError("cannot access directory", path);
+  }
+  if (!S_ISDIR(st.st_mode)) {
+    errno = ENOTDIR;
+    return IoError("cannot create directory", path);
+  }
   return Status::Ok();
 }
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "base/fileio.h"
 #include "base/strings.h"
@@ -72,7 +74,7 @@ std::function<bool()> MakePeriodicCheck(const ChaseLimits& limits,
 
 /// One unit of staged matching: a contiguous range of root candidates
 /// (full evaluation) or of one pivot's delta rows (semi-naive), or a
-/// whole un-shardable search (query with no atoms).
+/// whole un-shardable search (a body with no atoms).
 struct MatchSlice {
   size_t part = 0;  // rule part / tgd index
   bool whole_search = false;
@@ -80,15 +82,6 @@ struct MatchSlice {
   size_t pivot = 0;
   size_t begin = 0;
   size_t end = 0;
-};
-
-/// Per-slice output slot: the matched assignments in enumeration order
-/// plus the staged step count (matcher probes, and for delta slices one
-/// step per delta row scanned — the serial engine's historical
-/// accounting). Charged to the governor at merge time.
-struct SliceResult {
-  std::vector<Assignment> matches;
-  uint64_t steps = 0;
 };
 
 /// Appends `slices` entries covering [begin, end) in kSliceRows chunks.
@@ -105,62 +98,224 @@ void PushRowSlices(size_t part, bool delta, size_t pivot, size_t begin,
   }
 }
 
-/// Stages one slice: read-only matching against the round-frozen instance
-/// into `out`. `head_filter` (restricted chase) drops assignments whose
-/// head already holds; `pivot_atom` must be set for delta slices. Runs
-/// concurrently with itself on other slices — everything it touches is
-/// immutable, per-slice, or atomic.
-void RunSlice(const Matcher& matcher, const Matcher::RootSplit& split,
-              const TermArena& arena, const Instance& instance,
-              const Atom* pivot_atom, const Matcher* head_filter,
-              const MatchSlice& slice, const std::function<bool()>& periodic,
-              const StageAbort& abort, SliceResult* out) {
+}  // namespace
+
+/// One staging slice's output: its matches as flat rows in the part's
+/// binding layout, back to back, in enumeration order, plus the staged
+/// step count (matcher probes, and for delta slices one step per delta
+/// row scanned) that the serial merge charges to the governor.
+struct SliceRows {
+  std::vector<Value> rows;
+  size_t matches = 0;
+  uint64_t steps = 0;
+};
+
+/// A rule part compiled once per engine. Staging writes each body match
+/// as one flat row of `width` values (entry i binds matcher.variables()[i]);
+/// firing reads the head straight off that row through `head`.
+struct CompiledPart {
+  /// Where a head argument's value comes from.
+  enum class SlotKind : uint8_t {
+    kCopy,      // row[index]: a body variable (restricted chase: or the
+                // index-th existential's fresh null, past the body width)
+    kConstant,  // Value::Constant(index)
+    kTerm,      // TermToValue of program `index` grounded under the row
+  };
+  struct Slot {
+    SlotKind kind;
+    uint32_t index;
+  };
+  /// A Skolem term in postfix form: kVar pushes the term of row[operand],
+  /// kLiteral pushes term `operand` (a ground sub-term, or a variable the
+  /// body does not bind), kApply pops `arity` terms and pushes
+  /// function `operand` applied to them.
+  struct TermOp {
+    enum class Kind : uint8_t { kVar, kLiteral, kApply } kind;
+    uint32_t operand;
+    uint32_t arity;
+  };
+  using TermProgram = std::vector<TermOp>;
+
+  CompiledPart(const TermArena& arena, const Instance* instance,
+               std::span<const Atom> body, std::span<const Atom> head_atoms)
+      : matcher(&arena, instance, body), width(matcher.variables().size()) {
+    for (size_t i = 0; i < width; ++i) {
+      local.emplace(matcher.variables()[i], static_cast<uint32_t>(i));
+    }
+    for (const Atom& atom : body) body_relations.push_back(atom.relation);
+    for (const Atom& atom : head_atoms) {
+      head_relations.push_back(atom.relation);
+      head_arities.push_back(static_cast<uint32_t>(atom.args.size()));
+    }
+  }
+
+  /// Appends `t` (a symbolic term) to `program` in postfix order.
+  void CompileTerm(const TermArena& arena, TermId t, TermProgram* program) {
+    if (arena.IsVariable(t)) {
+      auto it = local.find(arena.symbol(t));
+      if (it != local.end()) {
+        program->push_back({TermOp::Kind::kVar, it->second, 0});
+        return;
+      }
+    }
+    if (!arena.IsFunction(t) || arena.IsGround(t)) {
+      program->push_back({TermOp::Kind::kLiteral, t, 0});
+      return;
+    }
+    std::span<const TermId> args = arena.args(t);
+    for (TermId a : args) CompileTerm(arena, a, program);
+    program->push_back({TermOp::Kind::kApply, arena.symbol(t),
+                        static_cast<uint32_t>(args.size())});
+  }
+
+  uint32_t AddProgram(const TermArena& arena, TermId t) {
+    programs.emplace_back();
+    CompileTerm(arena, t, &programs.back());
+    return static_cast<uint32_t>(programs.size() - 1);
+  }
+
+  /// Restricted chase: true iff the head is satisfiable by extending the
+  /// staged match `row` (uncounted; `seed` is scratch).
+  bool HeadHolds(std::span<const Value> row, std::vector<Value>* seed) const {
+    if (!head_matcher) return false;
+    seed->assign(head_seed.size(), Value());
+    for (size_t h = 0; h < head_seed.size(); ++h) {
+      if (head_seed[h] >= 0) (*seed)[h] = row[head_seed[h]];
+    }
+    return head_matcher->ExistsRow(*seed);
+  }
+
+  Matcher matcher;
+  size_t width;
+  /// Body variable -> row index.
+  std::unordered_map<VariableId, uint32_t> local;
+  /// Body atom relations (the semi-naive pivots).
+  std::vector<RelationId> body_relations;
+  /// The head template: per atom its relation and arity, and one slot
+  /// per argument of every atom, in head order.
+  std::vector<RelationId> head_relations;
+  std::vector<uint32_t> head_arities;
+  std::vector<Slot> head;
+  std::vector<TermProgram> programs;
+  /// Skolem chase: equalities as pairs of programs that must ground to
+  /// the same term.
+  std::vector<std::pair<uint32_t, uint32_t>> equalities;
+  /// Restricted chase: fresh nulls appended to the row per firing, and
+  /// the head matcher whose variables are seeded from row[head_seed[h]]
+  /// (-1: existential, left unbound).
+  uint32_t num_existentials = 0;
+  std::optional<Matcher> head_matcher;
+  std::vector<int32_t> head_seed;
+};
+
+namespace {
+
+/// Compiles a Skolem-chase rule part: body variables copy, constants are
+/// literal, every other head argument (a Skolem term) gets a program.
+CompiledPart CompileSoPart(const TermArena& arena, const Instance* instance,
+                           const SoPart& part) {
+  CompiledPart c(arena, instance, part.body, part.head);
+  for (const Atom& atom : part.head) {
+    for (TermId t : atom.args) {
+      if (arena.IsConstant(t)) {
+        c.head.push_back({CompiledPart::SlotKind::kConstant, arena.symbol(t)});
+        continue;
+      }
+      if (arena.IsVariable(t)) {
+        auto it = c.local.find(arena.symbol(t));
+        if (it != c.local.end()) {
+          c.head.push_back({CompiledPart::SlotKind::kCopy, it->second});
+          continue;
+        }
+      }
+      c.head.push_back({CompiledPart::SlotKind::kTerm, c.AddProgram(arena, t)});
+    }
+  }
+  for (const SoEquality& eq : part.equalities) {
+    uint32_t lhs = c.AddProgram(arena, eq.lhs);
+    uint32_t rhs = c.AddProgram(arena, eq.rhs);
+    c.equalities.emplace_back(lhs, rhs);
+  }
+  return c;
+}
+
+/// Compiles a first-order tgd for the restricted chase: existential
+/// variables (in exist_vars order, then, defensively, any other head
+/// variable the body does not bind) copy the fresh nulls a firing appends
+/// past the body row.
+CompiledPart CompileTgd(const TermArena& arena, const Instance* instance,
+                        const Tgd& tgd) {
+  CompiledPart c(arena, instance, tgd.body, tgd.head);
+  std::unordered_map<VariableId, uint32_t> fresh;
+  auto fresh_slot = [&](VariableId v) {
+    return fresh.try_emplace(v, static_cast<uint32_t>(c.width + fresh.size()))
+        .first->second;
+  };
+  for (VariableId y : tgd.exist_vars) fresh_slot(y);
+  for (const Atom& atom : tgd.head) {
+    for (TermId t : atom.args) {
+      if (!arena.IsVariable(t)) {
+        c.head.push_back({CompiledPart::SlotKind::kConstant, arena.symbol(t)});
+        continue;
+      }
+      auto it = c.local.find(arena.symbol(t));
+      c.head.push_back({CompiledPart::SlotKind::kCopy,
+                        it != c.local.end() ? it->second
+                                            : fresh_slot(arena.symbol(t))});
+    }
+  }
+  c.num_existentials = static_cast<uint32_t>(fresh.size());
+  c.head_matcher.emplace(&arena, instance, tgd.head);
+  for (VariableId v : c.head_matcher->variables()) {
+    auto it = c.local.find(v);
+    c.head_seed.push_back(it == c.local.end()
+                              ? -1
+                              : static_cast<int32_t>(it->second));
+  }
+  return c;
+}
+
+/// Stages one slice: read-only matching against the round-frozen instance,
+/// appending each match to `out` as a flat row (restricted parts drop
+/// matches whose head already holds). Runs concurrently with itself on
+/// other slices — everything it touches is immutable, per-slice, or
+/// atomic. Both engines stage through here.
+void RunSlice(const CompiledPart& part, const Matcher::RootSplit& split,
+              const Instance& instance, const MatchSlice& slice,
+              const std::function<bool()>& periodic, const StageAbort& abort,
+              SliceRows* out) {
   if (!periodic()) return;
   SearchControls controls;
   controls.probe_counter = &out->steps;
   controls.periodic_check = periodic;
-  std::function<bool(const Assignment&)> emit = [&](const Assignment& a) {
-    if (head_filter == nullptr || !head_filter->Exists(a)) {
-      out->matches.push_back(a);
+  std::vector<Value> head_seed;
+  RowCallback emit = [&](std::span<const Value> row) {
+    if (!part.HeadHolds(row, &head_seed)) {
+      out->rows.insert(out->rows.end(), row.begin(), row.end());
+      ++out->matches;
     }
     return !abort.Requested();
   };
   if (slice.whole_search) {
-    matcher.ForEach({}, emit, controls);
+    part.matcher.ForEachRow({}, emit, controls);
     return;
   }
   if (!slice.delta) {
     for (size_t i = slice.begin; i < slice.end; ++i) {
-      matcher.ForEachFromRoot({}, split, split.Row(i), emit, controls);
+      part.matcher.ForEachFromRoot({}, split, split.Row(i), emit, controls);
       if (abort.Requested()) return;
     }
     return;
   }
+  std::vector<Value> seed;
   for (size_t row = slice.begin; row < slice.end; ++row) {
     ++out->steps;  // one step per delta row scanned
     if (abort.Requested()) return;
-    std::span<const Value> tuple =
-        instance.Tuple(pivot_atom->relation, static_cast<uint32_t>(row));
-    Assignment seed;
-    bool consistent = true;
-    for (size_t i = 0; i < pivot_atom->args.size(); ++i) {
-      TermId t = pivot_atom->args[i];
-      if (arena.IsConstant(t)) {
-        if (Value::Constant(arena.symbol(t)) != tuple[i]) {
-          consistent = false;
-          break;
-        }
-      } else {
-        VariableId v = arena.symbol(t);
-        auto [it, inserted] = seed.emplace(v, tuple[i]);
-        if (!inserted && it->second != tuple[i]) {
-          consistent = false;
-          break;
-        }
-      }
-    }
-    if (!consistent) continue;
-    matcher.ForEach(seed, emit, controls);
+    std::span<const Value> tuple = instance.Tuple(
+        part.body_relations[slice.pivot], static_cast<uint32_t>(row));
+    seed.assign(part.width, Value());
+    if (!part.matcher.BindAtom(slice.pivot, tuple, &seed)) continue;
+    part.matcher.ForEachRow(seed, emit, controls);
   }
 }
 
@@ -217,8 +372,8 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
   if (!limits_.spill_dir.empty()) {
     // The out-of-core backend must be selected before the first fact
     // lands (EnableSpill requires an empty store), i.e. before CopyFacts.
-    Status enabled = MakeDirectories(limits_.spill_dir);
-    if (enabled.ok()) {
+    status_ = MakeDirectories(limits_.spill_dir);
+    if (status_.ok()) {
       SpillConfig config;
       config.dir = limits_.spill_dir;
       config.segment_bytes = limits_.spill_segment_kb * 1024;
@@ -226,15 +381,23 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
       // flushes never poll the governor between insertions, so sealing
       // itself sheds cold segments before the next slow-path sample.
       config.max_resident_bytes = limits_.budget.max_memory_bytes / 2;
-      enabled = instance_.EnableSpill(config);
+      status_ = instance_.EnableSpill(config);
     }
-    assert(enabled.ok() && "spill setup failed");
-    (void)enabled;
+    if (!status_.ok()) {
+      // Never fall back to in-core silently: the caller asked for spill.
+      done_ = true;
+      return;
+    }
     InstallSpillPressureHandler();
   }
   CopyFacts(input, &instance_);
   null_provenance_.assign(instance_.num_nulls(), kInvalidTerm);
+  for (const SoPart& part : rules_.parts) {
+    parts_.push_back(CompileSoPart(*arena_, &instance_, part));
+  }
 }
+
+ChaseEngine::~ChaseEngine() = default;
 
 void ChaseEngine::InstallSpillPressureHandler() {
   governor_.SetPressureHandler([this](uint64_t target_bytes) {
@@ -259,6 +422,9 @@ ChaseEngine::ChaseEngine(TermArena* arena, Vocabulary* vocab,
   Instance* instance_ptr = &instance_;
   governor_.AddMemorySource(
       [instance_ptr] { return instance_ptr->ApproxBytes(); });
+  for (const SoPart& part : rules_.parts) {
+    parts_.push_back(CompileSoPart(*arena_, &instance_, part));
+  }
   term_to_value_.insert(state.term_to_value.begin(),
                         state.term_to_value.end());
   null_provenance_ = std::move(state.null_provenance);
@@ -420,68 +586,109 @@ Value ChaseEngine::TermToValue(TermId t) {
   return null;
 }
 
-bool ChaseEngine::ProcessTrigger(const SoPart& part,
-                                 const Assignment& assignment,
-                                 std::vector<std::vector<Fact>>* pending) {
+TermId ChaseEngine::GroundTerm(const CompiledPart& part, uint32_t program,
+                               std::span<const Value> row) {
+  term_stack_.clear();
+  for (const CompiledPart::TermOp& op : part.programs[program]) {
+    switch (op.kind) {
+      case CompiledPart::TermOp::Kind::kVar:
+        term_stack_.push_back(ValueToTerm(row[op.operand]));
+        break;
+      case CompiledPart::TermOp::Kind::kLiteral:
+        term_stack_.push_back(op.operand);
+        break;
+      case CompiledPart::TermOp::Kind::kApply: {
+        size_t base = term_stack_.size() - op.arity;
+        TermId t = arena_->MakeFunction(
+            op.operand, {term_stack_.data() + base, op.arity});
+        term_stack_.resize(base);
+        term_stack_.push_back(t);
+        break;
+      }
+    }
+  }
+  return term_stack_.back();
+}
+
+bool ChaseEngine::ProcessTrigger(uint32_t part_index,
+                                 std::span<const Value> row) {
   if (!governor_.Poll()) {
     Halt(governor_.reason());
     return false;
   }
-  Substitution subst;
-  for (const auto& [var, value] : assignment) {
-    subst.Bind(var, ValueToTerm(value));
+  const CompiledPart& part = parts_[part_index];
+  // An input null a trigger binds gets its opaque @innull term (and with
+  // it the provenance explain reports) on first use, whether or not a
+  // Skolem term of this part reads it.
+  for (Value v : row) {
+    if (v.is_null() && null_provenance_[v.index()] == kInvalidTerm) {
+      ValueToTerm(v);
+    }
   }
   // Equalities: free interpretation — ground terms must coincide.
-  for (const SoEquality& eq : part.equalities) {
-    TermId lhs = subst.Apply(arena_, eq.lhs);
-    TermId rhs = subst.Apply(arena_, eq.rhs);
-    if (lhs != rhs) return true;  // trigger inactive
-  }
-  // Stage the whole head locally first: if any head term overflows the
-  // depth budget, the trigger contributes nothing (never a partial head).
-  std::vector<Fact> staged;
-  for (const Atom& atom : part.head) {
-    Fact fact;
-    fact.relation = atom.relation;
-    for (TermId t : atom.args) {
-      TermId ground = subst.Apply(arena_, t);
-      Value v = TermToValue(ground);
-      if (!v.valid()) {
-        Halt(StopReason::kDepthLimit);
-        return false;
-      }
-      fact.args.push_back(v);
+  for (const auto& [lhs, rhs] : part.equalities) {
+    if (GroundTerm(part, lhs, row) != GroundTerm(part, rhs, row)) {
+      return true;  // trigger inactive
     }
-    staged.push_back(std::move(fact));
   }
-  pending->push_back(std::move(staged));
+  // Stage the whole head first: if any head term overflows the depth
+  // budget, the trigger contributes nothing (never a partial head).
+  const size_t start = pending_values_.size();
+  for (const CompiledPart::Slot& slot : part.head) {
+    switch (slot.kind) {
+      case CompiledPart::SlotKind::kCopy:
+        pending_values_.push_back(row[slot.index]);
+        break;
+      case CompiledPart::SlotKind::kConstant:
+        pending_values_.push_back(Value::Constant(slot.index));
+        break;
+      case CompiledPart::SlotKind::kTerm: {
+        Value v = TermToValue(GroundTerm(part, slot.index, row));
+        if (!v.valid()) {
+          pending_values_.resize(start);
+          Halt(StopReason::kDepthLimit);
+          return false;
+        }
+        pending_values_.push_back(v);
+        break;
+      }
+    }
+  }
+  pending_parts_.push_back(part_index);
   return true;
 }
 
-bool ChaseEngine::FlushPending(const std::vector<std::vector<Fact>>& pending) {
+bool ChaseEngine::FlushPending() {
   ChaseGuard guard(limits_, &governor_);
   in_flush_ = true;
   bool added = false;
-  for (const std::vector<Fact>& trigger : pending) {
+  size_t facts = instance_.NumFacts();
+  size_t offset = 0;
+  for (uint32_t p : pending_parts_) {
+    const CompiledPart& part = parts_[p];
     // Triggers commit atomically: either the whole head or nothing.
-    if (!guard.CanCommit(instance_.NumFacts(), trigger.size())) {
+    if (!guard.CanCommit(facts, part.head_relations.size())) {
       Halt(governor_.reason());
-      in_flush_ = false;
-      return added;
+      break;
     }
-    for (const Fact& fact : trigger) {
-      if (instance_.AddFact(fact)) {
+    for (size_t a = 0; a < part.head_relations.size(); ++a) {
+      const uint32_t arity = part.head_arities[a];
+      if (instance_.AddFact(part.head_relations[a],
+                            {pending_values_.data() + offset, arity})) {
         added = true;
+        ++facts;
         ++facts_created_;
       }
+      offset += arity;
     }
   }
   in_flush_ = false;
+  pending_parts_.clear();
+  pending_values_.clear();
   return added;
 }
 
-bool ChaseEngine::StageAndMergeRound(
-    bool use_delta, std::vector<std::vector<Fact>>* pending) {
+bool ChaseEngine::StageAndMergeRound(bool use_delta) {
   // STAGE (parallel, read-only): enumeration always sees the round-start
   // instance — the instance stays frozen until Step() flushes the whole
   // round. Inserting while enumerating would let this round's conclusions
@@ -489,34 +696,31 @@ bool ChaseEngine::StageAndMergeRound(
   // chase, but rounds would lose their meaning — and a replayed round
   // would enumerate differently than the original, breaking deterministic
   // resume). That freeze is also what makes staging embarrassingly
-  // parallel: workers share the instance, the arena and one const Matcher
-  // per rule part without synchronization.
-  const size_t num_parts = rules_.parts.size();
-  std::vector<Matcher> matchers;
-  matchers.reserve(num_parts);
+  // parallel: workers share the instance, the arena and the compiled
+  // parts' const Matchers without synchronization.
+  const uint32_t num_parts = static_cast<uint32_t>(parts_.size());
   std::vector<Matcher::RootSplit> splits(num_parts);
   std::vector<MatchSlice> slices;
-  for (size_t p = 0; p < num_parts; ++p) {
-    const SoPart& part = rules_.parts[p];
-    matchers.emplace_back(arena_, &instance_, part.body);
+  for (uint32_t p = 0; p < num_parts; ++p) {
+    const CompiledPart& part = parts_[p];
     if (use_delta) {
       // For each body atom acting as the pivot, the slices cover the
       // previous round's delta rows. Triggers touching no delta fact were
       // already fired in an earlier round (Skolem-chase idempotence makes
       // re-fired overlapping triggers harmless).
-      for (size_t pivot = 0; pivot < part.body.size(); ++pivot) {
-        const Atom& atom = part.body[pivot];
-        auto prev_it = rows_before_prev_round_.find(atom.relation);
+      for (size_t pivot = 0; pivot < part.body_relations.size(); ++pivot) {
+        RelationId relation = part.body_relations[pivot];
+        auto prev_it = rows_before_prev_round_.find(relation);
         size_t delta_begin =
             prev_it == rows_before_prev_round_.end() ? 0 : prev_it->second;
-        auto cur_it = rows_before_current_round_.find(atom.relation);
+        auto cur_it = rows_before_current_round_.find(relation);
         size_t delta_end =
             cur_it == rows_before_current_round_.end() ? 0 : cur_it->second;
         PushRowSlices(p, /*delta=*/true, pivot, delta_begin, delta_end,
                       &slices);
       }
     } else {
-      splits[p] = matchers[p].PlanRoot({});
+      splits[p] = part.matcher.PlanRoot({});
       if (splits[p].atom < 0) {
         MatchSlice s;
         s.part = p;
@@ -529,16 +733,13 @@ bool ChaseEngine::StageAndMergeRound(
     }
   }
 
-  std::vector<SliceResult> results(slices.size());
+  std::vector<SliceRows> results(slices.size());
   StageAbort abort;
   std::function<bool()> periodic =
       MakePeriodicCheck(limits_, governor_, &abort);
   pool_->ParallelFor(slices.size(), [&](size_t i) {
     const MatchSlice& s = slices[i];
-    const Atom* pivot_atom =
-        s.delta ? &rules_.parts[s.part].body[s.pivot] : nullptr;
-    RunSlice(matchers[s.part], splits[s.part], *arena_, instance_,
-             pivot_atom, /*head_filter=*/nullptr, s, periodic, abort,
+    RunSlice(parts_[s.part], splits[s.part], instance_, s, periodic, abort,
              &results[i]);
   });
   if (abort.Requested()) {
@@ -550,7 +751,7 @@ bool ChaseEngine::StageAndMergeRound(
   }
 
   // MERGE (serial, deterministic): charge each slice's staged work, then
-  // process its triggers, in slice order — the order the serial engine
+  // fire its triggers, in slice order — the order the serial engine
   // enumerates. Step/fact/depth budgets trip here at thread-count-
   // independent points.
   for (size_t i = 0; i < slices.size(); ++i) {
@@ -558,9 +759,11 @@ bool ChaseEngine::StageAndMergeRound(
       Halt(governor_.reason());
       return false;
     }
-    const SoPart& part = rules_.parts[slices[i].part];
-    for (const Assignment& assignment : results[i].matches) {
-      if (!ProcessTrigger(part, assignment, pending)) return false;
+    const uint32_t p = static_cast<uint32_t>(slices[i].part);
+    const size_t width = parts_[p].width;
+    const Value* row = results[i].rows.data();
+    for (size_t m = 0; m < results[i].matches; ++m, row += width) {
+      if (!ProcessTrigger(p, {row, width})) return false;
     }
   }
   return true;
@@ -608,9 +811,10 @@ bool ChaseEngine::Step() {
   // Stage the whole round first, then commit once: enumeration always
   // sees the round-start instance, so replaying a round from any
   // checkpoint taken inside it re-enumerates identically.
-  std::vector<std::vector<Fact>> pending;
-  if (!StageAndMergeRound(use_delta, &pending)) return false;
-  bool any = FlushPending(pending);
+  pending_parts_.clear();
+  pending_values_.clear();
+  if (!StageAndMergeRound(use_delta)) return false;
+  bool any = FlushPending();
   if (deferred_checkpoint_) {
     deferred_checkpoint_ = false;
     if (checkpoint_hook_) checkpoint_hook_(*this);
@@ -651,6 +855,7 @@ ChaseResult Chase(TermArena* arena, Vocabulary* vocab, const SoTgd& rules,
   engine.Run();
   ChaseResult result{engine.TakeInstance(), engine.stop_reason(),
                      engine.rounds(), engine.facts_created(), {}};
+  result.setup = engine.status();
   result.budget_steps = engine.governor().total_steps();
   result.budget_bytes = engine.governor().memory_bytes();
   uint32_t num_nulls = result.instance.num_nulls();
@@ -677,7 +882,12 @@ RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
   governor_.AddMemorySource(
       [instance_ptr] { return instance_ptr->ApproxBytes(); });
   CopyFacts(input, &instance_);
+  for (const Tgd& tgd : tgds_) {
+    parts_.push_back(CompileTgd(*arena_, &instance_, tgd));
+  }
 }
+
+RestrictedChaseEngine::~RestrictedChaseEngine() = default;
 
 RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
                                              std::span<const Tgd> tgds,
@@ -694,6 +904,9 @@ RestrictedChaseEngine::RestrictedChaseEngine(TermArena* arena,
   Instance* instance_ptr = &instance_;
   governor_.AddMemorySource(
       [instance_ptr] { return instance_ptr->ApproxBytes(); });
+  for (const Tgd& tgd : tgds_) {
+    parts_.push_back(CompileTgd(*arena_, &instance_, tgd));
+  }
   rounds_ = state.rounds;
   facts_created_ = state.facts_created;
   governor_.RestorePriorConsumption(state.governor_steps,
@@ -723,40 +936,36 @@ RestrictedChaseState RestrictedChaseEngine::CaptureState() const {
   return state;
 }
 
-bool RestrictedChaseEngine::StageActive(const Matcher& body_matcher,
-                                        const Matcher& head_matcher,
-                                        std::vector<Assignment>* active) {
-  Matcher::RootSplit split = body_matcher.PlanRoot({});
+bool RestrictedChaseEngine::StageActive(uint32_t part,
+                                        std::vector<SliceRows>* staged) {
+  const CompiledPart& compiled = parts_[part];
+  Matcher::RootSplit split = compiled.matcher.PlanRoot({});
   std::vector<MatchSlice> slices;
   if (split.atom < 0) {
     MatchSlice s;
+    s.part = part;
     s.whole_search = true;
     slices.push_back(s);
   } else {
-    PushRowSlices(0, /*delta=*/false, 0, 0, split.NumCandidates(), &slices);
+    PushRowSlices(part, /*delta=*/false, 0, 0, split.NumCandidates(),
+                  &slices);
   }
-  std::vector<SliceResult> results(slices.size());
+  staged->assign(slices.size(), SliceRows{});
   StageAbort abort;
   std::function<bool()> periodic =
       MakePeriodicCheck(limits_, governor_, &abort);
   pool_->ParallelFor(slices.size(), [&](size_t i) {
-    // Restricted chase: fire only when no extension to the existential
-    // variables satisfies the head already. The Exists filter runs in the
-    // worker (it is read-only and uncounted, as in serial evaluation).
-    RunSlice(body_matcher, split, *arena_, instance_, /*pivot_atom=*/nullptr,
-             &head_matcher, slices[i], periodic, abort, &results[i]);
+    RunSlice(compiled, split, instance_, slices[i], periodic, abort,
+             &(*staged)[i]);
   });
   if (abort.Requested()) {
     Halt(abort.Reason());
     return false;
   }
-  for (size_t i = 0; i < slices.size(); ++i) {
-    if (!governor_.PollN(results[i].steps)) {
+  for (const SliceRows& result : *staged) {
+    if (!governor_.PollN(result.steps)) {
       Halt(governor_.reason());
       return false;
-    }
-    for (Assignment& assignment : results[i].matches) {
-      active->push_back(std::move(assignment));
     }
   }
   return true;
@@ -784,49 +993,50 @@ bool RestrictedChaseEngine::Step() {
   in_round_ = true;
   Instance& j = instance_;
   bool any = false;
-  for (const Tgd& tgd : tgds_) {
+  std::vector<SliceRows> staged;
+  std::vector<Value> extended, head, seed;
+  for (uint32_t p = 0; p < parts_.size(); ++p) {
     // The restricted chase commits inside the round (tgd k+1 must see tgd
     // k's firings), so staging parallelizes per tgd: enumerate + filter
     // this tgd's triggers against the current instance in parallel, then
     // fire serially.
-    Matcher body_matcher(arena_, &j, tgd.body);
-    Matcher head_matcher(arena_, &j, tgd.head);
-    std::vector<Assignment> active;
-    if (!StageActive(body_matcher, head_matcher, &active)) return false;
-    for (const Assignment& assignment : active) {
-      if (!governor_.Poll()) {
-        Halt(governor_.reason());
-        return false;
-      }
-      // Re-check: an earlier firing this round may have satisfied it.
-      if (head_matcher.Exists(assignment)) continue;
-      Assignment extended = assignment;
-      for (VariableId y : tgd.exist_vars) {
-        extended[y] = j.FreshNull();
-      }
-      // Stage the head first so the fact cap applies to the firing as a
-      // whole (triggers commit atomically, as in ChaseEngine).
-      std::vector<Fact> staged;
-      for (const Atom& atom : tgd.head) {
-        Fact fact;
-        fact.relation = atom.relation;
-        for (TermId t : atom.args) {
-          if (arena_->IsVariable(t)) {
-            fact.args.push_back(extended.at(arena_->symbol(t)));
-          } else {
-            fact.args.push_back(Value::Constant(arena_->symbol(t)));
-          }
+    const CompiledPart& part = parts_[p];
+    if (!StageActive(p, &staged)) return false;
+    for (const SliceRows& slice : staged) {
+      const Value* row = slice.rows.data();
+      for (size_t m = 0; m < slice.matches; ++m, row += part.width) {
+        if (!governor_.Poll()) {
+          Halt(governor_.reason());
+          return false;
         }
-        staged.push_back(std::move(fact));
+        // Re-check: an earlier firing this round may have satisfied it.
+        if (part.HeadHolds({row, part.width}, &seed)) continue;
+        extended.assign(row, row + part.width);
+        for (uint32_t k = 0; k < part.num_existentials; ++k) {
+          extended.push_back(j.FreshNull());
+        }
+        // Stage the head first so the fact cap applies to the firing as
+        // a whole (triggers commit atomically, as in ChaseEngine).
+        head.clear();
+        for (const CompiledPart::Slot& slot : part.head) {
+          head.push_back(slot.kind == CompiledPart::SlotKind::kCopy
+                             ? extended[slot.index]
+                             : Value::Constant(slot.index));
+        }
+        if (!guard.CanCommit(j.NumFacts(), part.head_relations.size())) {
+          Halt(governor_.reason());
+          return false;
+        }
+        size_t offset = 0;
+        for (size_t a = 0; a < part.head_relations.size(); ++a) {
+          if (j.AddFact(part.head_relations[a],
+                        {head.data() + offset, part.head_arities[a]})) {
+            ++facts_created_;
+          }
+          offset += part.head_arities[a];
+        }
+        any = true;
       }
-      if (!guard.CanCommit(j.NumFacts(), staged.size())) {
-        Halt(governor_.reason());
-        return false;
-      }
-      for (const Fact& fact : staged) {
-        if (j.AddFact(fact)) ++facts_created_;
-      }
-      any = true;
     }
   }
   in_round_ = false;

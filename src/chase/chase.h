@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +34,14 @@
 #include "homo/matcher.h"
 
 namespace tgdkit {
+
+/// A rule part compiled once per engine: its body matcher, the flat
+/// binding layout staged matches use, and its head as a template over that
+/// layout (defined in chase.cc).
+struct CompiledPart;
+
+/// One staging slice's matches as flat rows (defined in chase.cc).
+struct SliceRows;
 
 struct ChaseLimits {
   uint64_t max_rounds = 10000;
@@ -60,7 +69,9 @@ struct ChaseLimits {
   /// instance spills sealed fact segments into this directory and the
   /// governor's memory-pressure path evicts hot segments before giving up
   /// with kMemoryLimit. Empty (the default) keeps the fully in-core
-  /// store. Either mode produces byte-identical chase results.
+  /// store. Either mode produces byte-identical chase results. A
+  /// directory that cannot be created or used is an error (see
+  /// ChaseEngine::status()), never a silent fallback to in-core.
   std::string spill_dir;
   /// Segment payload size for the spill store, in KiB.
   uint64_t spill_segment_kb = 256;
@@ -130,6 +141,11 @@ class ChaseEngine {
   /// sources; moving the engine would invalidate those hooks.
   ChaseEngine(const ChaseEngine&) = delete;
   ChaseEngine& operator=(const ChaseEngine&) = delete;
+  ~ChaseEngine();
+
+  /// Ok, or the error that kept the engine from starting (an unusable
+  /// ChaseLimits::spill_dir). Such an engine is done and never runs.
+  const Status& status() const { return status_; }
 
   /// Runs one full round (every rule, every trigger). Returns true if at
   /// least one new fact was added and no limit was hit.
@@ -176,12 +192,17 @@ class ChaseEngine {
   /// Returns an invalid Value when the depth limit is exceeded.
   Value TermToValue(TermId t);
 
-  /// Processes one trigger (a complete body homomorphism): checks the
-  /// equalities and stages the head facts as one atomic unit. Returns
-  /// false on a limit; a trigger that hits a limit mid-head stages
-  /// nothing (no partial head facts are ever committed).
-  bool ProcessTrigger(const SoPart& part, const Assignment& assignment,
-                      std::vector<std::vector<Fact>>* pending);
+  /// Grounds a compiled Skolem term under a staged match: interns only
+  /// the bound values the term uses, then the function applications.
+  TermId GroundTerm(const CompiledPart& part, uint32_t program,
+                    std::span<const Value> row);
+
+  /// Fires one trigger (a staged match of part `part`, as a flat row):
+  /// checks the equalities and appends the whole head to the pending
+  /// buffer as one atomic unit. Returns false on a limit; a trigger that
+  /// hits a limit mid-head stages nothing (no partial head facts are
+  /// ever committed).
+  bool ProcessTrigger(uint32_t part, std::span<const Value> row);
   /// One round's trigger enumeration: stages matching over fixed-geometry
   /// slices fanned across the pool (read-only against the round-frozen
   /// instance), then merges the per-slice results serially in slice order
@@ -189,12 +210,11 @@ class ChaseEngine {
   /// The slice geometry and merge order are independent of the thread
   /// count, so any `threads` setting observes the identical step/trigger
   /// sequence. Returns false when the round halted (reason recorded).
-  bool StageAndMergeRound(bool use_delta,
-                          std::vector<std::vector<Fact>>* pending);
-  /// Commits a whole round's staged triggers. The instance only mutates
+  bool StageAndMergeRound(bool use_delta);
+  /// Commits a whole round's pending heads. The instance only mutates
   /// here: enumeration always sees the round-start instance, which is
   /// what makes round replay (and therefore resume) deterministic.
-  bool FlushPending(const std::vector<std::vector<Fact>>& pending);
+  bool FlushPending();
   /// Records the first stop reason and marks the run done.
   void Halt(StopReason reason);
   /// Spill mode: registers the governor's memory-pressure hook
@@ -212,6 +232,15 @@ class ChaseEngine {
   /// Staging lanes (never serialized; rebuilt from limits on resume).
   std::unique_ptr<ThreadPool> pool_;
   Instance instance_;
+  Status status_;
+  /// rules_.parts, compiled against instance_ (one entry per part).
+  std::vector<CompiledPart> parts_;
+  /// The round's fired heads, back to back: per trigger its part index,
+  /// and the values of every head atom in head order.
+  std::vector<uint32_t> pending_parts_;
+  std::vector<Value> pending_values_;
+  /// GroundTerm's operand stack (reused across triggers).
+  std::vector<TermId> term_stack_;
   std::unordered_map<TermId, Value> term_to_value_;
   std::vector<TermId> null_provenance_;  // null index -> ground term
   // Semi-naive bookkeeping: per-relation row counts at the start of the
@@ -247,12 +276,19 @@ struct ChaseResult {
   /// Governor telemetry: steps consumed and last observed bytes.
   uint64_t budget_steps = 0;
   uint64_t budget_bytes = 0;
+  /// The engine's set-up error (ChaseEngine::status()); the chase did not
+  /// run when this is not Ok.
+  Status setup = Status::Ok();
 
   bool Terminated() const { return stop_reason == ChaseStop::kFixpoint; }
 
-  /// Machine-readable outcome: Ok on fixpoint, ResourceExhausted with the
-  /// stop reason otherwise (the instance is then a sound partial model).
-  Status ToStatus() const { return StopReasonToStatus(stop_reason, "chase"); }
+  /// Machine-readable outcome: the set-up error if any, else Ok on
+  /// fixpoint and ResourceExhausted with the stop reason otherwise (the
+  /// instance is then a sound partial model).
+  Status ToStatus() const {
+    if (!setup.ok()) return setup;
+    return StopReasonToStatus(stop_reason, "chase");
+  }
 
   /// Renders the Skolem term behind a chase-created null, e.g.
   /// "sk_dm$0(\"cs\")". Input nulls and constants render as themselves.
@@ -300,6 +336,7 @@ class RestrictedChaseEngine {
 
   RestrictedChaseEngine(const RestrictedChaseEngine&) = delete;
   RestrictedChaseEngine& operator=(const RestrictedChaseEngine&) = delete;
+  ~RestrictedChaseEngine();
 
   /// Runs one full round. Returns true if at least one trigger fired and
   /// no limit was hit.
@@ -331,13 +368,12 @@ class RestrictedChaseEngine {
 
  private:
   void Halt(StopReason reason);
-  /// Stages one tgd's body matches in parallel over fixed-geometry root
-  /// slices, filtering out triggers whose head is already satisfiable
-  /// (Exists is uncounted, as in serial evaluation), then merges the
-  /// surviving assignments into `active` in slice order — the serial
-  /// enumeration order. Returns false when the round halted.
-  bool StageActive(const Matcher& body_matcher, const Matcher& head_matcher,
-                   std::vector<Assignment>* active);
+  /// Stages tgd `part`'s body matches in parallel over fixed-geometry root
+  /// slices, dropping triggers whose head is already satisfiable (the
+  /// check is uncounted, as in serial evaluation), and charges each
+  /// slice's steps in slice order — the serial enumeration order. Returns
+  /// false when the round halted.
+  bool StageActive(uint32_t part, std::vector<SliceRows>* staged);
 
   TermArena* arena_;
   std::vector<Tgd> tgds_;
@@ -346,6 +382,8 @@ class RestrictedChaseEngine {
   /// Staging lanes (never serialized; rebuilt from limits on resume).
   std::unique_ptr<ThreadPool> pool_;
   Instance instance_;
+  /// tgds_, compiled against instance_ (one entry per tgd).
+  std::vector<CompiledPart> parts_;
   bool done_ = false;
   ChaseStop stop_reason_ = ChaseStop::kFixpoint;
   uint64_t rounds_ = 0;

@@ -18,6 +18,14 @@ namespace tgdkit {
 
 namespace {
 
+/// Segment geometry: as many rows as fit the payload budget, at least one.
+/// A 0-ary row is counted as one value wide so the division stays defined.
+uint64_t RowsPerSegment(const SpillConfig& config, uint32_t arity) {
+  return std::max<uint64_t>(
+      1, config.segment_bytes /
+             (std::max<uint64_t>(arity, 1) * sizeof(Value)));
+}
+
 /// Folds a 64-bit tuple hash to the 32 bits stored in digest entries.
 uint32_t Hash32(size_t hash) {
   return static_cast<uint32_t>(hash ^ (hash >> 32));
@@ -183,15 +191,12 @@ Instance::RelationData& Instance::GetOrCreate(RelationId relation) {
   if (it != relations_.end()) return it->second;
   RelationData& data = relations_[relation];
   data.arity = vocab_->RelationArity(relation);
-  assert(data.arity >= 1 && "0-ary relations are not supported");
   data.position_index.resize(data.arity);
   active_relations_.push_back(relation);
   if (spill_) {
     SpillState::Rel& sr = spill_->relations[relation];
     sr.arity = data.arity;
-    sr.rows_per_segment = std::max<uint64_t>(
-        1, spill_->config.segment_bytes / (uint64_t(data.arity) *
-                                           sizeof(Value)));
+    sr.rows_per_segment = RowsPerSegment(spill_->config, data.arity);
     sr.count_runs.resize(data.arity);
   }
   return data;
@@ -217,6 +222,7 @@ bool Instance::AddFact(RelationId relation, std::span<const Value> args) {
   }
   uint32_t row = static_cast<uint32_t>(data.NumTuples());
   data.flat.insert(data.flat.end(), args.begin(), args.end());
+  ++data.num_rows;
   std::vector<uint32_t>& bucket = data.dedup[h];
   if (bucket.empty()) index_bytes_ += kIndexNodeBytes;
   bucket.push_back(row);
@@ -561,7 +567,9 @@ bool Instance::SealedContains(RelationId relation, const RelationData& data,
 
 void Instance::MaybeSeal(RelationId relation, RelationData& data) {
   SpillState::Rel& sr = spill_->relations.at(relation);
-  if (data.NumTuples() < sr.rows_per_segment) return;
+  // A 0-ary relation holds at most one row and never seals: a segment
+  // file has no encoding for rows without values.
+  if (data.arity == 0 || data.NumTuples() < sr.rows_per_segment) return;
   const uint32_t arity = data.arity;
   const uint64_t rows = sr.rows_per_segment;
 
@@ -614,6 +622,7 @@ void Instance::MaybeSeal(RelationId relation, RelationData& data) {
     }
   }
   data.flat.clear();
+  data.num_rows = 0;
   data.dedup.clear();
   for (auto& m : data.position_index) m.clear();
   sr.sealed_rows += rows;
@@ -791,9 +800,7 @@ uint64_t Instance::SpillSegmentBytes() const {
 uint64_t Instance::SpillRowsPerSegment(RelationId relation) const {
   auto sit = spill_->relations.find(relation);
   if (sit != spill_->relations.end()) return sit->second.rows_per_segment;
-  uint32_t arity = vocab_->RelationArity(relation);
-  return std::max<uint64_t>(
-      1, spill_->config.segment_bytes / (uint64_t(arity) * sizeof(Value)));
+  return RowsPerSegment(spill_->config, vocab_->RelationArity(relation));
 }
 
 uint64_t Instance::SpillSealedRows(RelationId relation) const {
@@ -978,7 +985,6 @@ Status ParseInstanceText(std::string_view text, Vocabulary* vocab,
       }
     }
     if (!scan.TryConsume(')')) return scan.Error("expected ')'");
-    if (args.empty()) return scan.Error("0-ary facts are not supported");
     uint32_t arity = static_cast<uint32_t>(args.size());
     RelationId existing = vocab->FindRelation(relation_name);
     if (existing != kInvalidSymbol &&

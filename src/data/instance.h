@@ -38,7 +38,7 @@ struct SpillConfig {
   /// r<relation>_s<index>.seg (see SegmentFileName).
   std::string dir;
   /// Payload budget per segment; rows per segment is
-  /// max(1, segment_bytes / (arity * sizeof(Value))).
+  /// max(1, segment_bytes / (max(arity, 1) * sizeof(Value))).
   uint64_t segment_bytes = 256 * 1024;
   /// Soft cap on ApproxBytes honoured at seal points: when sealing pushes
   /// the footprint past this, cold segments are flushed and evicted until
@@ -253,6 +253,9 @@ class Instance {
  private:
   struct RelationData {
     uint32_t arity = 0;
+    /// Rows in `flat` (in-core: all rows; spill: the mutable tail). Kept
+    /// explicitly because a 0-ary relation's row holds no values.
+    size_t num_rows = 0;
     std::vector<Value> flat;  // row-major tuples
     // tuple hash -> row ids with that hash (dedup)
     std::unordered_map<size_t, std::vector<uint32_t>> dedup;
@@ -260,7 +263,7 @@ class Instance {
     std::vector<std::unordered_map<Value, std::vector<uint32_t>, ValueHash>>
         position_index;
 
-    size_t NumTuples() const { return flat.size() / arity; }
+    size_t NumTuples() const { return num_rows; }
   };
 
   struct SpillState;

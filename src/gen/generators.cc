@@ -297,13 +297,16 @@ const char* AdversarialShapeName(AdversarialShape shape) {
       return "wide-guard";
     case AdversarialShape::kTriangularFrontier:
       return "triangular-frontier";
+    case AdversarialShape::kDegenerate:
+      return "degenerate";
   }
   return "?";
 }
 
 bool ParseAdversarialShapeName(const std::string& name,
                                AdversarialShape* out) {
-  for (uint32_t i = 0; i < kNumAdversarialShapes; ++i) {
+  for (uint32_t i = 0;
+       i <= static_cast<uint32_t>(AdversarialShape::kDegenerate); ++i) {
     AdversarialShape shape = static_cast<AdversarialShape>(i);
     if (name == AdversarialShapeName(shape)) {
       *out = shape;
@@ -485,6 +488,47 @@ AdversarialScenario FrontierScenario(Rng* rng, const AdversarialConfig& c) {
   return s;
 }
 
+/// Degenerate atom shapes, one first-order program so engine-agreement
+/// applies: 0-ary atoms in bodies and heads, repeated body variables,
+/// constant-only heads, heads repeating a variable (or an existential),
+/// and a Skolem tower whose terms share arguments. Each rule rides along
+/// at random. The divergent mutation feeds the tower's top back into its
+/// bottom.
+AdversarialScenario DegenerateScenario(Rng* rng, const AdversarialConfig& c) {
+  AdversarialScenario s;
+  s.shape = AdversarialShape::kDegenerate;
+  s.program += "cyc: E(x, y) & E(y, x) -> Cyc() .\n";
+  if (rng->Chance(60)) s.program += "done: Cyc() -> Done() .\n";
+  s.program += "flag: Cyc() & V(x) -> Flagged(x) .\n";
+  if (rng->Chance(60)) s.program += "self: E(x, x) -> Self(x) .\n";
+  if (rng->Chance(60)) s.program += "mark: E(x, y) -> Mark(\"c0\", \"c1\") .\n";
+  if (rng->Chance(60)) s.program += "dup: E(x, y) -> Pair(y, y, x) .\n";
+  s.program += "s1: V(x) -> exists u . S1(x, u) .\n";
+  s.program += "s2: S1(x, u) -> exists w . S2(x, u, w) & Twin(w, w) .\n";
+  if (rng->Chance(60)) {
+    s.program += "s3: S2(x, u, w) & S1(x, u) -> exists v . S3(w, u, x, v) .\n";
+  }
+  if (rng->Chance(c.divergent_percent)) {
+    s.program += "back: S2(x, u, w) -> V(w) .\n";
+    s.may_diverge = true;
+  }
+  uint32_t facts = std::max<uint32_t>(c.instance_facts / 2, 3);
+  for (uint32_t i = 0; i < facts; ++i) {
+    std::string a = Dom(rng, c.domain_size);
+    // Self loops feed E(x, x); reversed pairs feed the 0-ary Cyc().
+    std::string b = rng->Chance(25) ? a : Dom(rng, c.domain_size);
+    s.instance += Cat("E(", a, ", ", b, ") .\n");
+    if (rng->Chance(30)) s.instance += Cat("E(", b, ", ", a, ") .\n");
+    if (rng->Chance(40)) s.instance += Cat("V(", a, ") .\n");
+  }
+  if (rng->Chance(30)) s.instance += "Cyc() .\n";
+  static const char* const kQueries[] = {
+      "ans(x) :- Flagged(x).", "ans() :- Done().",
+      "ans(x, y) :- Pair(x, x, y).", "ans(x) :- S1(x, u), S2(x, u, w)."};
+  s.query = kQueries[rng->Below(4)];
+  return s;
+}
+
 }  // namespace
 
 AdversarialScenario GenerateAdversarialScenario(
@@ -500,6 +544,8 @@ AdversarialScenario GenerateAdversarialScenario(
       return WideGuardScenario(rng, config);
     case AdversarialShape::kTriangularFrontier:
       return FrontierScenario(rng, config);
+    case AdversarialShape::kDegenerate:
+      return DegenerateScenario(rng, config);
   }
   return TowerScenario(rng, config);
 }

@@ -93,15 +93,21 @@ PcpInstance GeneratePcp(Rng* rng, uint32_t alphabet_size, uint32_t num_pairs,
 
 /// Shape families designed to stress a different part of the pipeline
 /// each: Skolem-term depth, near-divergent recursion, join fanout, guard
-/// width, and the triangular-guardedness frontier.
+/// width, the triangular-guardedness frontier, and degenerate atom shapes
+/// (every kind of compiled head position the chase fires).
 enum class AdversarialShape : uint8_t {
   kSkolemTower = 0,      // chain of existential rules stacking Skolem terms
   kPcpNearDivergent,     // PCP-style word builder driven by a finite counter
   kHighFanoutJoin,       // transitive closure + 3-way joins over a dense graph
   kWideGuard,            // wide guard atom covering many join variables
   kTriangularFrontier,   // randomized variants of the triangular frontier
+  kDegenerate,           // 0-ary atoms, repeated variables, constant heads
 };
 
+/// The shapes a campaign rotates through (seed % kNumAdversarialShapes).
+/// kDegenerate sits outside the rotation, so adding it left every seed's
+/// scenario (and the benchmark's serve mix, drawn the same way) unchanged;
+/// campaigns reach it with --shape degenerate.
 inline constexpr uint32_t kNumAdversarialShapes = 5;
 
 /// Stable kebab-case name, e.g. "skolem-tower".
@@ -142,7 +148,7 @@ AdversarialScenario GenerateAdversarialScenario(Rng* rng,
                                                 AdversarialShape shape,
                                                 const AdversarialConfig& config);
 
-/// Generates one scenario of a shape drawn uniformly from the families.
+/// Generates one scenario of a shape drawn uniformly from the rotation.
 AdversarialScenario GenerateAdversarialScenario(Rng* rng,
                                                 const AdversarialConfig& config);
 

@@ -1,5 +1,6 @@
 #include "homo/matcher.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -199,6 +200,7 @@ bool Matcher::TryRow(SearchState* state, const AtomPlan& plan, uint32_t row,
 
 bool Matcher::Search(SearchState* state, size_t remaining) const {
   if (remaining == 0) {
+    ++state->emitted;
     if (!(*state->emit)(state->binding)) state->stopped = true;
     return true;
   }
@@ -228,35 +230,31 @@ bool Matcher::Search(SearchState* state, size_t remaining) const {
   return any;
 }
 
-void Matcher::SeedBinding(const Assignment& seed,
-                          std::vector<Value>* binding) const {
+std::vector<Value> Matcher::SeedBinding(const Assignment& seed) const {
+  std::vector<Value> binding(variables_.size(), Value());
   for (const auto& [var, value] : seed) {
     auto it = var_index_.find(var);
-    if (it != var_index_.end()) (*binding)[it->second] = value;
+    if (it != var_index_.end()) binding[it->second] = value;
   }
+  return binding;
 }
 
-size_t Matcher::RunSearch(
-    const Assignment& seed,
-    const std::function<bool(const Assignment&)>& callback,
-    const SearchControls& controls, const RootSplit* split,
-    uint32_t root_row) const {
+std::vector<Value> Matcher::FlatSeed(std::span<const Value> seed) const {
+  std::vector<Value> binding(variables_.size(), Value());
+  std::copy_n(seed.begin(), std::min(seed.size(), binding.size()),
+              binding.begin());
+  return binding;
+}
+
+size_t Matcher::RunSearch(std::vector<Value> binding,
+                          const RowCallback& callback,
+                          const SearchControls& controls,
+                          const RootSplit* split, uint32_t root_row) const {
   SearchState state;
-  state.binding.assign(variables_.size(), Value());
-  SeedBinding(seed, &state.binding);
+  state.binding = std::move(binding);
   state.done.assign(plans_.size(), false);
   state.controls = &controls;
-  size_t count = 0;
-  std::function<bool(const std::vector<Value>&)> emit =
-      [&](const std::vector<Value>& full) {
-        Assignment out = seed;
-        for (size_t i = 0; i < variables_.size(); ++i) {
-          out[variables_[i]] = full[i];
-        }
-        ++count;
-        return callback(out);
-      };
-  state.emit = &emit;
+  state.emit = &callback;
   if (split == nullptr) {
     Search(&state, plans_.size());
   } else {
@@ -267,7 +265,7 @@ size_t Matcher::RunSearch(
     std::vector<uint32_t> trail;
     TryRow(&state, plan, root_row, plans_.size() - 1, &any, &trail);
   }
-  return count;
+  return state.emitted;
 }
 
 bool Matcher::FindOne(Assignment* seed) const {
@@ -285,21 +283,51 @@ size_t Matcher::ForEach(
     const std::function<bool(const Assignment&)>& callback) const {
   SearchControls controls;
   controls.governor = governor_;
-  return RunSearch(seed, callback, controls, nullptr, 0);
+  return ForEach(seed, callback, controls);
 }
 
 size_t Matcher::ForEach(
     const Assignment& seed,
     const std::function<bool(const Assignment&)>& callback,
     const SearchControls& controls) const {
-  return RunSearch(seed, callback, controls, nullptr, 0);
+  // Assignment adapter over the row search: seed bindings of variables
+  // outside the query pass through to every emitted assignment.
+  RowCallback emit = [&](std::span<const Value> full) {
+    Assignment out = seed;
+    for (size_t i = 0; i < variables_.size(); ++i) {
+      out[variables_[i]] = full[i];
+    }
+    return callback(out);
+  };
+  return RunSearch(SeedBinding(seed), emit, controls, nullptr, 0);
 }
 
-Matcher::RootSplit Matcher::PlanRoot(const Assignment& seed) const {
+size_t Matcher::ForEachRow(std::span<const Value> seed,
+                           const RowCallback& callback,
+                           const SearchControls& controls) const {
+  return RunSearch(FlatSeed(seed), callback, controls, nullptr, 0);
+}
+
+bool Matcher::ExistsRow(std::span<const Value> seed) const {
+  bool found = false;
+  RowCallback stop = [&](std::span<const Value>) {
+    found = true;
+    return false;  // stop at the first homomorphism
+  };
+  RunSearch(FlatSeed(seed), stop, SearchControls{}, nullptr, 0);
+  return found;
+}
+
+bool Matcher::BindAtom(size_t atom, std::span<const Value> tuple,
+                       std::vector<Value>* binding) const {
+  std::vector<uint32_t> trail;
+  return TryBindTuple(plans_[atom], tuple, binding, &trail);
+}
+
+Matcher::RootSplit Matcher::PlanRoot(std::span<const Value> seed) const {
   RootSplit split;
   if (plans_.empty()) return split;  // shard-less query
-  std::vector<Value> binding(variables_.size(), Value());
-  SeedBinding(seed, &binding);
+  std::vector<Value> binding = FlatSeed(seed);
   std::vector<bool> done(plans_.size(), false);
   split.atom = PickNextAtom(binding, done);
   std::vector<uint32_t> scratch;
@@ -317,11 +345,11 @@ Matcher::RootSplit Matcher::PlanRoot(const Assignment& seed) const {
   return split;
 }
 
-size_t Matcher::ForEachFromRoot(
-    const Assignment& seed, const RootSplit& split, uint32_t row,
-    const std::function<bool(const Assignment&)>& callback,
-    const SearchControls& controls) const {
-  return RunSearch(seed, callback, controls, &split, row);
+size_t Matcher::ForEachFromRoot(std::span<const Value> seed,
+                                const RootSplit& split, uint32_t row,
+                                const RowCallback& callback,
+                                const SearchControls& controls) const {
+  return RunSearch(FlatSeed(seed), callback, controls, &split, row);
 }
 
 }  // namespace tgdkit

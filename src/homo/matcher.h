@@ -51,8 +51,13 @@ struct Atom {
   }
 };
 
-/// Assignment of variables to instance values.
+/// Assignment of variables to instance values (the map-shaped view used
+/// by query evaluation, core computation and model checking).
 using Assignment = std::unordered_map<VariableId, Value>;
+
+/// A complete match in the matcher's flat layout: entry i is the value of
+/// variables()[i]. Valid only for the duration of the callback.
+using RowCallback = std::function<bool(std::span<const Value>)>;
 
 /// Per-search knobs, owned by the caller of one search (and therefore by
 /// one thread). All fields are optional.
@@ -108,9 +113,26 @@ class Matcher {
     return FindOne(&copy);
   }
 
+  /// Row-level enumeration, the chase's entry point: `seed` is a binding
+  /// in the flat layout (Value() = unbound; an empty span binds nothing)
+  /// and every complete match reaches `callback` as a flat row, so no
+  /// Assignment is built per match. Same order and probe accounting as
+  /// ForEach. Returns the number of callbacks made.
+  size_t ForEachRow(std::span<const Value> seed, const RowCallback& callback,
+                    const SearchControls& controls) const;
+
+  /// True iff a match extending the flat `seed` exists (uncounted).
+  bool ExistsRow(std::span<const Value> seed) const;
+
+  /// Binds atom `atom`'s arguments to `tuple` on top of `binding` (flat
+  /// layout, sized to variables()). False when a constant or an already
+  /// bound variable disagrees; `binding` is then partially written.
+  bool BindAtom(size_t atom, std::span<const Value> tuple,
+                std::vector<Value>* binding) const;
+
   /// The root of the search tree for `seed`, exposed so callers can shard
-  /// one enumeration into independent row ranges: ForEach(seed, cb) emits
-  /// exactly the concatenation, over i in [0, NumCandidates()), of
+  /// one enumeration into independent row ranges: ForEachRow(seed, cb)
+  /// emits exactly the concatenation, over i in [0, NumCandidates()), of
   /// ForEachFromRoot(seed, split, split.Row(i), cb). `index_rows` points
   /// into the instance's posting lists and stays valid while the instance
   /// is not mutated (the chase freezes the instance for the whole round).
@@ -132,16 +154,15 @@ class Matcher {
     }
   };
 
-  /// Plans the root split ForEach(seed, ...) would explore: same atom
+  /// Plans the root split ForEachRow(seed, ...) would explore: same atom
   /// choice, same candidate rows, same order.
-  RootSplit PlanRoot(const Assignment& seed) const;
+  RootSplit PlanRoot(std::span<const Value> seed) const;
 
   /// Enumerates the homomorphisms whose root atom maps to `row`, in the
   /// order the full search would emit them. Counts the root probe and all
-  /// inner probes through `controls`, exactly like ForEach.
-  size_t ForEachFromRoot(const Assignment& seed, const RootSplit& split,
-                         uint32_t row,
-                         const std::function<bool(const Assignment&)>& callback,
+  /// inner probes through `controls`, exactly like ForEachRow.
+  size_t ForEachFromRoot(std::span<const Value> seed, const RootSplit& split,
+                         uint32_t row, const RowCallback& callback,
                          const SearchControls& controls) const;
 
   /// The distinct variables of the query, in first-occurrence order.
@@ -169,9 +190,10 @@ class Matcher {
   struct SearchState {
     std::vector<Value> binding;
     std::vector<bool> done;
-    const std::function<bool(const std::vector<Value>&)>* emit = nullptr;
+    const RowCallback* emit = nullptr;
     const SearchControls* controls = nullptr;
     uint64_t probes_until_check = SearchControls::kPeriodicCheckStride;
+    size_t emitted = 0;
     bool stopped = false;
   };
   /// Candidate rows for `plan` under the current binding: the most
@@ -195,10 +217,13 @@ class Matcher {
                     std::vector<Value>* binding,
                     std::vector<uint32_t>* trail) const;
 
-  void SeedBinding(const Assignment& seed, std::vector<Value>* binding) const;
+  /// A search's initial binding (sized to variables()) from either seed
+  /// form; a flat seed shorter than variables() leaves the rest unbound.
+  std::vector<Value> SeedBinding(const Assignment& seed) const;
+  std::vector<Value> FlatSeed(std::span<const Value> seed) const;
 
-  size_t RunSearch(const Assignment& seed,
-                   const std::function<bool(const Assignment&)>& callback,
+  /// The one search loop: every entry point reduces to a flat binding.
+  size_t RunSearch(std::vector<Value> binding, const RowCallback& callback,
                    const SearchControls& controls, const RootSplit* split,
                    uint32_t root_row) const;
 

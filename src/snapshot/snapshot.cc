@@ -615,7 +615,7 @@ bool ReadSpilledFacts(Reader* r, Vocabulary* vocab,
                      "'");
     }
     uint32_t arity = vocab->RelationArity(rel);
-    if (arity == 0 || segrows != out->SpillRowsPerSegment(rel)) {
+    if (segrows != out->SpillRowsPerSegment(rel)) {
       return r->Fail("spill relation '" + name +
                      "': segment geometry mismatch");
     }

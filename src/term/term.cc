@@ -1,7 +1,7 @@
 #include "term/term.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
 
 #include "base/strings.h"
 
@@ -26,7 +26,8 @@ TermId TermArena::InternNode(TermKind kind, SymbolId symbol,
   std::vector<TermId>& bucket = buckets_[h];
   for (TermId candidate : bucket) {
     const Node& n = nodes_[candidate];
-    if (n.kind != kind || n.symbol != symbol || n.num_args != args.size()) {
+    if (n.kind != static_cast<uint32_t>(kind) || n.symbol != symbol ||
+        n.num_args != args.size()) {
       continue;
     }
     if (std::equal(args.begin(), args.end(), args_.begin() + n.first_arg)) {
@@ -34,7 +35,17 @@ TermId TermArena::InternNode(TermKind kind, SymbolId symbol,
     }
   }
   Node node;
-  node.kind = kind;
+  node.kind = static_cast<uint32_t>(kind);
+  node.ground = kind != TermKind::kVariable;
+  uint32_t max_child = 0;
+  for (TermId a : args) {
+    const Node& child = nodes_[a];
+    node.ground = node.ground && child.ground;
+    max_child = std::max<uint32_t>(max_child, child.depth);
+  }
+  node.depth = kind != TermKind::kFunction ? 0
+               : max_child >= kMaxDepth    ? kMaxDepth
+                                           : max_child + 1;
   node.symbol = symbol;
   node.first_arg = static_cast<uint32_t>(args_.size());
   node.num_args = static_cast<uint32_t>(args.size());
@@ -57,26 +68,34 @@ TermId TermArena::MakeFunction(FunctionId f, std::span<const TermId> args) {
   return InternNode(TermKind::kFunction, f, args);
 }
 
-uint32_t TermArena::Depth(TermId t) const {
-  const Node& n = nodes_[t];
-  if (n.kind != TermKind::kFunction) return 0;
-  uint32_t max_child = 0;
-  for (TermId a : args(t)) max_child = std::max(max_child, Depth(a));
-  return 1 + max_child;
-}
-
 uint64_t TermArena::Size(TermId t) const {
-  uint64_t total = 1;
-  for (TermId a : args(t)) total += Size(a);
-  return total;
-}
-
-bool TermArena::IsGround(TermId t) const {
-  if (IsVariable(t)) return false;
-  for (TermId a : args(t)) {
-    if (!IsGround(a)) return false;
+  // Memoized over the DAG: every distinct sub-term is sized once, in
+  // post-order.
+  std::unordered_map<TermId, uint64_t> sizes;
+  std::vector<TermId> stack = {t};
+  while (!stack.empty()) {
+    TermId u = stack.back();
+    if (sizes.count(u) != 0) {
+      stack.pop_back();
+      continue;
+    }
+    bool ready = true;
+    for (TermId a : args(u)) {
+      if (sizes.count(a) == 0) {
+        stack.push_back(a);
+        ready = false;
+      }
+    }
+    if (!ready) continue;
+    uint64_t total = 1;
+    for (TermId a : args(u)) {
+      uint64_t s = sizes[a];
+      total = s > UINT64_MAX - total ? UINT64_MAX : total + s;
+    }
+    sizes[u] = total;
+    stack.pop_back();
   }
-  return true;
+  return sizes[t];
 }
 
 bool TermArena::HasNestedFunction(TermId t) const {

@@ -39,7 +39,9 @@ class TermArena {
   /// Returns the unique term id for `f(args...)`.
   TermId MakeFunction(FunctionId f, std::span<const TermId> args);
 
-  TermKind kind(TermId t) const { return nodes_[t].kind; }
+  TermKind kind(TermId t) const {
+    return static_cast<TermKind>(nodes_[t].kind);
+  }
   bool IsVariable(TermId t) const { return kind(t) == TermKind::kVariable; }
   bool IsConstant(TermId t) const { return kind(t) == TermKind::kConstant; }
   bool IsFunction(TermId t) const { return kind(t) == TermKind::kFunction; }
@@ -53,15 +55,20 @@ class TermArena {
     return {args_.data() + n.first_arg, n.num_args};
   }
 
-  /// Nesting depth: variables/constants have depth 0, f(t1..tk) has
-  /// depth 1 + max depth of arguments (f() has depth 1).
-  uint32_t Depth(TermId t) const;
+  /// Largest depth a node records; deeper terms report this value.
+  static constexpr uint32_t kMaxDepth = (1u << 29) - 1;
 
-  /// Number of nodes in the term tree (with sharing expanded).
+  /// Nesting depth: variables/constants have depth 0, f(t1..tk) has
+  /// depth 1 + max depth of arguments (f() has depth 1). O(1): stored on
+  /// the node when it is interned (saturating at kMaxDepth).
+  uint32_t Depth(TermId t) const { return nodes_[t].depth; }
+
+  /// Number of nodes in the term tree (with sharing expanded), saturating
+  /// at UINT64_MAX. Linear in the number of distinct sub-terms.
   uint64_t Size(TermId t) const;
 
-  /// True iff the term contains no variables.
-  bool IsGround(TermId t) const;
+  /// True iff the term contains no variables. O(1), stored on the node.
+  bool IsGround(TermId t) const { return nodes_[t].ground; }
 
   /// True iff the term contains at least one function application nested
   /// inside another function application ("nested term" in SO tgds).
@@ -86,12 +93,17 @@ class TermArena {
   }
 
  private:
+  /// Depth and groundness share the word of the kind, so a node stays 16
+  /// bytes (ApproxBytes and the memory budget are unchanged by them).
   struct Node {
-    TermKind kind;
+    uint32_t kind : 2;
+    uint32_t ground : 1;
+    uint32_t depth : 29;
     SymbolId symbol;
     uint32_t first_arg;
     uint32_t num_args;
   };
+  static_assert(sizeof(Node) == 16);
 
   /// Estimated per-bucket overhead of the hash-cons map (node + vector).
   static constexpr uint64_t kBucketOverheadBytes = 64;

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -38,7 +39,16 @@ class BatchTest : public ::testing::Test {
     static int counter = 0;
     dir_ = testing::TempDir() + "/tgdkit_batch_" + std::to_string(getpid()) +
            "_" + std::to_string(counter++);
+    // A recycled pid can meet the directory (and run ledger) of an
+    // earlier test process; a stale ledger would mark tasks as done.
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
     ASSERT_TRUE(MakeDirectories(dir_).ok());
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
   }
 
   std::string Write(const std::string& name, const std::string& content) {

@@ -6,6 +6,8 @@
 // machine-readable stop every time.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -531,6 +533,7 @@ class BudgetTempFile {
   BudgetTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_budget_" + tag + "_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(counter++) + ".txt";
     std::ofstream out(path_);
     out << content;

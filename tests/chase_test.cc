@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "chase/chase.h"
 #include "dep/skolem.h"
 #include "homo/core.h"
@@ -350,6 +353,57 @@ TEST_F(ChaseTest, MultiPartRuleChains) {
   Value dep_null = result.instance.Tuple(dep2, 0)[0];
   EXPECT_EQ(result.instance.Tuple(grp2, 0)[0], dep_null);
   EXPECT_EQ(result.instance.Tuple(grp2, 1)[0], dep_null);
+}
+
+TEST_F(ChaseTest, ZeroAryAtomsFireInBothEngines) {
+  // E(x, y) & E(y, x) -> Cyc() ; Cyc() & V(x) -> Flagged(x)
+  Tgd cyc;
+  cyc.body = {ws_.A("E", {ws_.V("x"), ws_.V("y")}),
+              ws_.A("E", {ws_.V("y"), ws_.V("x")})};
+  cyc.head = {ws_.A("Cyc", {})};
+  Tgd flag;
+  flag.body = {ws_.A("Cyc", {}), ws_.A("V", {ws_.V("x")})};
+  flag.head = {ws_.A("Flagged", {ws_.V("x")})};
+  std::vector<Tgd> tgds = {cyc, flag};
+  Instance input(&ws_.vocab);
+  input.AddFact(ws_.Fc("E", {"a", "b"}));
+  input.AddFact(ws_.Fc("E", {"b", "a"}));
+  input.AddFact(ws_.Fc("V", {"a"}));
+  const char* kWant = "Cyc()\nE(a, b)\nE(b, a)\nFlagged(a)\nV(a)\n";
+  for (uint32_t threads : {1u, 4u}) {
+    ChaseLimits limits;
+    limits.threads = threads;
+    SoTgd so = TgdsToSo(&ws_.arena, &ws_.vocab, tgds);
+    ChaseResult skolem = Chase(&ws_.arena, &ws_.vocab, so, input, limits);
+    EXPECT_TRUE(skolem.Terminated());
+    EXPECT_EQ(skolem.instance.ToString(), kWant);
+    ChaseResult restricted =
+        RestrictedChaseTgds(&ws_.arena, &ws_.vocab, tgds, input, limits);
+    EXPECT_TRUE(restricted.Terminated());
+    EXPECT_EQ(restricted.instance.ToString(), kWant);
+  }
+}
+
+TEST_F(ChaseTest, UnusableSpillDirectoryIsAnErrorNotAFallback) {
+  std::string file = testing::TempDir() + "/tgdkit_spill_plain_file";
+  { std::ofstream(file) << "x"; }
+  SoPart p;
+  p.body = {ws_.A("P", {ws_.V("x")})};
+  p.head = {ws_.A("Q", {ws_.V("x")})};
+  SoTgd so;
+  so.parts = {p};
+  Instance input(&ws_.vocab);
+  input.AddFact(ws_.Fc("P", {"a"}));
+  ChaseLimits limits;
+  limits.spill_dir = file + "/segments";
+  ChaseEngine engine(&ws_.arena, &ws_.vocab, so, input, limits);
+  EXPECT_FALSE(engine.status().ok());
+  EXPECT_TRUE(engine.done());
+  EXPECT_FALSE(engine.Step());
+  ChaseResult result = Chase(&ws_.arena, &ws_.vocab, so, input, limits);
+  EXPECT_FALSE(result.ToStatus().ok());
+  EXPECT_EQ(result.ToStatus().code(), result.setup.code());
+  std::remove(file.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // "quarantine as misconfigured".
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <sys/stat.h>
 
 #include <cstdio>
@@ -24,6 +26,7 @@ class ExitCodeTempFile {
   ExitCodeTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_exit_" + tag + "_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(counter++) + ".txt";
     std::ofstream out(path_);
     out << content;

@@ -1,6 +1,8 @@
 // Tests for the compose and solve CLI commands.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,6 +17,7 @@ class ScopedFile {
   ScopedFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_cli2_" + tag + "_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(counter++) + ".txt";
     std::ofstream out(path_);
     out << content;

@@ -1,6 +1,9 @@
 // Tests for the command-line driver (src/cli).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +20,7 @@ class TempFile {
   TempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_cli_" + tag + "_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(counter++) + ".txt";
     std::ofstream out(path_);
     out << content;
@@ -220,6 +224,38 @@ TEST(CliTest, BadDependencySyntaxReported) {
   CliRun run = RunTool({"classify", deps.path()});
   EXPECT_EQ(run.code, 2);
   EXPECT_NE(run.err.find("ParseError"), std::string::npos);
+}
+
+TEST(CliTest, DeepSharedSkolemChainIsLinearInDepth) {
+  // Each new null's Skolem term shares its argument with the previous
+  // one, so the term tree doubles per level while the DAG grows by one
+  // node. Depth checks read the stored depth: 200 levels take
+  // milliseconds, where walking the tree took longer than any budget.
+  TempFile deps("chain", "r: E(x, y) -> exists z . E(y, z) .\n");
+  TempFile inst("chain_inst", "E(a, b) .\n");
+  auto start = std::chrono::steady_clock::now();
+  CliRun run = RunTool({"chase", deps.path(), inst.path(), "--max-depth",
+                        "200", "--max-steps", "1000"});
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_EQ(run.code, 4) << run.err;
+  EXPECT_NE(run.out.find("depth-limit after 201 rounds, 200 facts"),
+            std::string::npos)
+      << run.out;
+  EXPECT_LT(seconds, 1.0);
+}
+
+TEST(CliTest, SpillDirUnderARegularFileFailsLoudly) {
+  TempFile deps("spill_deps", "r: E(x, y) -> F(y, x) .\n");
+  TempFile inst("spill_inst", "E(a, b) .\n");
+  for (const char* command : {"chase", "explain"}) {
+    CliRun run = RunTool({command, deps.path(), inst.path(), "--spill-dir",
+                          deps.path() + "/segments"});
+    EXPECT_NE(run.code, 0) << command;
+    EXPECT_NE(run.err.find("--spill-dir"), std::string::npos) << run.err;
+    EXPECT_EQ(run.out, "") << command;
+  }
 }
 
 }  // namespace

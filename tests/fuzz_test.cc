@@ -4,6 +4,7 @@
 // loop, the delta-debugging shrinker, and the reproducer format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,6 +78,20 @@ TEST(AdversarialGeneratorTest, EveryShapeParsesAcrossSeeds) {
   }
 }
 
+TEST(AdversarialGeneratorTest, DegenerateShapeStaysOutOfTheRotation) {
+  AdversarialShape parsed;
+  ASSERT_TRUE(ParseAdversarialShapeName("degenerate", &parsed));
+  EXPECT_EQ(parsed, AdversarialShape::kDegenerate);
+  EXPECT_GE(static_cast<uint32_t>(AdversarialShape::kDegenerate),
+            kNumAdversarialShapes);
+  FuzzOptions options;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    EXPECT_NE(MakeScenario(seed, options).shape, AdversarialShape::kDegenerate);
+  }
+  options.shape = AdversarialShape::kDegenerate;
+  EXPECT_EQ(MakeScenario(3, options).shape, AdversarialShape::kDegenerate);
+}
+
 TEST(AdversarialGeneratorTest, ScaledFactsReachMillionsDeterministically) {
   const uint64_t kFacts = 1000000;
   Rng a(99), b(99);
@@ -141,6 +156,45 @@ TEST(FuzzScenarioTest, CleanSeedsPassTheInProcessBattery) {
         << verdict.violation->detail;
     EXPECT_FALSE(verdict.invariants.empty());
   }
+}
+
+TEST(FuzzScenarioTest, DegenerateShapesPassTheFullBattery) {
+  // 0-ary atoms, repeated variables, constant-only heads and shared-argument
+  // Skolem towers: every head position kind the compiled chase fires, under
+  // engine-agreement, thread identity, spill identity and resume.
+  FuzzOptions options;
+  options.fork_faults = false;
+  options.shape = AdversarialShape::kDegenerate;
+  options.scratch_dir = testing::TempDir() + "/tgdkit_fuzz_degenerate";
+  options.run_cli = [](const std::vector<std::string>& args,
+                       std::ostream& out, std::ostream& err) {
+    return RunCommand(args, out, err, ApiOptions{});
+  };
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    FuzzScenario scenario = MakeScenario(seed, options);
+    ASSERT_EQ(scenario.shape, AdversarialShape::kDegenerate);
+    ScenarioVerdict verdict = RunScenario(scenario, options);
+    EXPECT_FALSE(verdict.violation.has_value())
+        << "seed " << seed << ": " << verdict.violation->invariant << ": "
+        << verdict.violation->detail;
+    for (const char* invariant : {"engine-agreement", "thread-identity",
+                                  "spill-identity"}) {
+      EXPECT_NE(std::find(verdict.invariants.begin(),
+                          verdict.invariants.end(), invariant),
+                verdict.invariants.end())
+          << invariant;
+    }
+  }
+}
+
+TEST(FuzzCorpusTest, RegressionCorpusReplaysClean) {
+  std::ostringstream out, err;
+  int code = RunCommand({"fuzz", "--no-faults", "--replay",
+                         std::string(TGDKIT_SOURCE_DIR) + "/corpus/regressions"},
+                        out, err, ApiOptions{});
+  EXPECT_EQ(code, 0) << out.str() << err.str();
+  EXPECT_NE(out.str().find("failing=0"), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find("files=0"), std::string::npos) << out.str();
 }
 
 TEST(FuzzScenarioTest, FullBatteryWithCliPassesOnCleanSeeds) {

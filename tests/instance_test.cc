@@ -121,5 +121,23 @@ TEST_F(InstanceTest, CopyFactsPreservesNullSpace) {
   EXPECT_EQ(dst.num_nulls(), 1u);
 }
 
+TEST_F(InstanceTest, ZeroAryRelationsHoldOneRow) {
+  Instance inst(&ws_.vocab);
+  RelationId goal = ws_.vocab.InternRelation("Goal", 0);
+  EXPECT_EQ(inst.NumTuples(goal), 0u);
+  EXPECT_TRUE(inst.AddFact(goal, {}));
+  EXPECT_FALSE(inst.AddFact(goal, {}));
+  EXPECT_TRUE(inst.Contains(goal, {}));
+  EXPECT_EQ(inst.NumTuples(goal), 1u);
+  EXPECT_TRUE(inst.Tuple(goal, 0).empty());
+  inst.AddFact(ws_.Fc("E", {"a", "b"}));
+  EXPECT_EQ(inst.NumFacts(), 2u);
+  EXPECT_EQ(inst.ToString(), "E(a, b)\nGoal()\n");
+  // The canonical text (snapshots) reads the 0-ary row back.
+  Instance reread(&ws_.vocab);
+  ASSERT_TRUE(ParseInstanceText(inst.ToExactText(), &ws_.vocab, &reread).ok());
+  EXPECT_EQ(reread.ToString(), inst.ToString());
+}
+
 }  // namespace
 }  // namespace tgdkit

@@ -3,6 +3,8 @@
 // exit code, and the three output formats.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -201,6 +203,7 @@ class LintCliTempFile {
   LintCliTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_lint_" + tag + "_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(counter++) + ".tgd";
     std::ofstream out(path_);
     out << content;

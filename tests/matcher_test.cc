@@ -169,7 +169,7 @@ std::vector<std::vector<Value>> Emissions(
 }
 
 std::vector<std::vector<Value>> ShardedEmissions(
-    const Matcher& matcher, const Assignment& seed,
+    const Matcher& matcher, std::span<const Value> seed,
     const SearchControls& controls) {
   Matcher::RootSplit split = matcher.PlanRoot(seed);
   EXPECT_GE(split.atom, 0);
@@ -177,10 +177,8 @@ std::vector<std::vector<Value>> ShardedEmissions(
   for (size_t i = 0; i < split.NumCandidates(); ++i) {
     matcher.ForEachFromRoot(
         seed, split, split.Row(i),
-        [&](const Assignment& a) {
-          std::vector<Value> tuple;
-          for (VariableId v : matcher.variables()) tuple.push_back(a.at(v));
-          out.push_back(std::move(tuple));
+        [&](std::span<const Value> row) {
+          out.emplace_back(row.begin(), row.end());
           return true;
         },
         controls);
@@ -237,10 +235,12 @@ TEST_F(MatcherTest, RootSplitRespectsSeed) {
   std::vector<Atom> atoms{ws_.A("R", {ws_.V("x"), ws_.V("y")})};
   Matcher matcher(&ws_.arena, &inst, atoms);
   Assignment seed{{ws_.Vid("x"), ws_.Cv("a")}};
+  // The same seed in the matcher's flat layout (variables x, y).
+  std::vector<Value> flat_seed = {ws_.Cv("a"), Value()};
   SearchControls none;
   auto full = rootsplit::Emissions(matcher, seed, none);
   EXPECT_EQ(full.size(), 2u);
-  EXPECT_EQ(full, rootsplit::ShardedEmissions(matcher, seed, none));
+  EXPECT_EQ(full, rootsplit::ShardedEmissions(matcher, flat_seed, none));
 }
 
 TEST_F(MatcherTest, RootSplitEmptyQueryHasNoShards) {

@@ -5,6 +5,8 @@
 // silent mis-parse.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -21,6 +23,7 @@ class RobustTempFile {
   RobustTempFile(const std::string& tag, const std::string& content) {
     static int counter = 0;
     path_ = testing::TempDir() + "/tgdkit_robust_" + tag + "_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(counter++) + ".txt";
     std::ofstream out(path_, std::ios::binary);
     out << content;

@@ -320,6 +320,35 @@ TEST_F(ServeTest, MalformedAndOversizedFramesNeverKillTheDaemon) {
   EXPECT_EQ(summary.admitted, 1u);
 }
 
+TEST_F(ServeTest, ZeroAryHeadLeavesTheDaemonAnswering) {
+  // A propositional head atom once divided by the arity (SIGFPE) and took
+  // the whole daemon down with the request.
+  constexpr const char* kGoal = "r: E(x, y) -> Goal() .\n";
+  constexpr const char* kEdges = "E(a, b) .\n";
+  StartServer();
+  ServeClient client = Connect();
+  for (const char* command : {"classify", "chase"}) {
+    std::vector<std::string> args = {"goal.tgd"};
+    if (std::string(command) == "chase") args.push_back("edges.facts");
+    ServeResponse response = MustCall(
+        client, InlineRequest(command, command, args,
+                              {{"goal.tgd", kGoal}, {"edges.facts", kEdges}}));
+    EXPECT_EQ(response.status, ServeStatus::kOk) << command;
+    EXPECT_EQ(response.exit_code, 0) << command;
+    if (std::string(command) == "chase") {
+      EXPECT_NE(response.out.find("\nGoal()\n"), std::string::npos)
+          << response.out;
+    }
+  }
+  ServeResponse after = MustCall(
+      client, InlineRequest("after", "classify", {"deps.tgd"},
+                            {{"deps.tgd", kDeps}}));
+  EXPECT_EQ(after.status, ServeStatus::kOk);
+  EXPECT_EQ(after.exit_code, 0);
+  ServeSummary summary = StopServer();
+  EXPECT_EQ(summary.ok, 3u);
+}
+
 TEST_F(ServeTest, RepeatedInternalFailuresQuarantineTheRuleset) {
   options_.quarantine_after = 2;
   StartServer();

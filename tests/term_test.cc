@@ -63,6 +63,21 @@ TEST_F(TermTest, DepthAndSize) {
   EXPECT_EQ(arena_.Size(gfx), 4u);
 }
 
+TEST_F(TermTest, DepthAndSizeOfSharedTermsAreLinear) {
+  // t_{k+1} = f(t_k, t_k): depth k, tree size 2^(k+1) - 1. Depth is read
+  // off the node and Size walks each distinct sub-term once, so both stay
+  // cheap even where the tree is astronomically large.
+  TermId t = Const("c");
+  for (int k = 0; k < 60; ++k) t = Fn("f", {t, t});
+  EXPECT_EQ(arena_.Depth(t), 60u);
+  EXPECT_TRUE(arena_.IsGround(t));
+  EXPECT_EQ(arena_.Size(t), (uint64_t{1} << 61) - 1);
+  for (int k = 60; k < 200; ++k) t = Fn("f", {t, t});
+  EXPECT_EQ(arena_.Depth(t), 200u);
+  EXPECT_EQ(arena_.Size(t), UINT64_MAX);  // saturates
+  EXPECT_FALSE(arena_.IsGround(Fn("g", {t, Var("x")})));
+}
+
 TEST_F(TermTest, GroundAndNested) {
   TermId x = Var("x");
   TermId c = Const("c");
