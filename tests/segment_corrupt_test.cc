@@ -52,23 +52,36 @@ TEST(SegmentCorruptTest, FileNamesAreStable) {
   EXPECT_EQ(SegmentFileName(7, 123), "r7_s123.seg");
 }
 
+// One corpus file and the status code its parse must fail with.
+struct RejectCase {
+  const char* file;
+  Status::Code code;
+};
+
+// Prints a case as its quoted file name, so the test is named after the
+// file rather than after the address of the file-name literal, which
+// changes with every build.
+void PrintTo(const RejectCase& c, std::ostream* os) {
+  *os << '"' << c.file << '"';
+}
+
 class SegmentCorpusRejectionTest
-    : public ::testing::TestWithParam<std::pair<const char*, Status::Code>> {};
+    : public ::testing::TestWithParam<RejectCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Files, SegmentCorpusRejectionTest,
     ::testing::Values(
-        std::make_pair("truncated_payload.seg", Status::Code::kDataLoss),
-        std::make_pair("truncated_header.seg", Status::Code::kDataLoss),
-        std::make_pair("bitflip_payload.seg", Status::Code::kDataLoss),
-        std::make_pair("bad_crc.seg", Status::Code::kDataLoss),
-        std::make_pair("rows_mismatch.seg", Status::Code::kDataLoss),
-        std::make_pair("future_version.seg", Status::Code::kUnsupported),
-        std::make_pair("wrong_magic.seg", Status::Code::kDataLoss),
-        std::make_pair("empty.seg", Status::Code::kDataLoss),
-        std::make_pair("garbage.seg", Status::Code::kDataLoss),
-        std::make_pair("interior_garbage.seg", Status::Code::kDataLoss),
-        std::make_pair("zero_arity.seg", Status::Code::kDataLoss)));
+        RejectCase{"truncated_payload.seg", Status::Code::kDataLoss},
+        RejectCase{"truncated_header.seg", Status::Code::kDataLoss},
+        RejectCase{"bitflip_payload.seg", Status::Code::kDataLoss},
+        RejectCase{"bad_crc.seg", Status::Code::kDataLoss},
+        RejectCase{"rows_mismatch.seg", Status::Code::kDataLoss},
+        RejectCase{"future_version.seg", Status::Code::kUnsupported},
+        RejectCase{"wrong_magic.seg", Status::Code::kDataLoss},
+        RejectCase{"empty.seg", Status::Code::kDataLoss},
+        RejectCase{"garbage.seg", Status::Code::kDataLoss},
+        RejectCase{"interior_garbage.seg", Status::Code::kDataLoss},
+        RejectCase{"zero_arity.seg", Status::Code::kDataLoss}));
 
 TEST_P(SegmentCorpusRejectionTest, RejectedWithTypedStatus) {
   auto [name, code] = GetParam();

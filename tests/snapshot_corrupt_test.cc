@@ -33,20 +33,32 @@ TEST(SnapshotCorruptTest, ValidBaselineParses) {
   EXPECT_GT(snap->state->instance.NumFacts(), 0u);
 }
 
-class CorpusRejectionTest
-    : public ::testing::TestWithParam<std::pair<const char*, Status::Code>> {};
+// One corpus file and the status code its parse must fail with.
+struct RejectCase {
+  const char* file;
+  Status::Code code;
+};
+
+// Prints a case as its quoted file name, so the test is named after the
+// file rather than after the address of the file-name literal, which
+// changes with every build.
+void PrintTo(const RejectCase& c, std::ostream* os) {
+  *os << '"' << c.file << '"';
+}
+
+class CorpusRejectionTest : public ::testing::TestWithParam<RejectCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Files, CorpusRejectionTest,
     ::testing::Values(
-        std::make_pair("truncated_half.snap", Status::Code::kDataLoss),
-        std::make_pair("truncated_envelope.snap", Status::Code::kDataLoss),
-        std::make_pair("bitflip_payload.snap", Status::Code::kDataLoss),
-        std::make_pair("torn_write.snap", Status::Code::kDataLoss),
-        std::make_pair("future_version.snap", Status::Code::kUnsupported),
-        std::make_pair("wrong_magic.snap", Status::Code::kDataLoss),
-        std::make_pair("empty.snap", Status::Code::kDataLoss),
-        std::make_pair("garbage.snap", Status::Code::kDataLoss)));
+        RejectCase{"truncated_half.snap", Status::Code::kDataLoss},
+        RejectCase{"truncated_envelope.snap", Status::Code::kDataLoss},
+        RejectCase{"bitflip_payload.snap", Status::Code::kDataLoss},
+        RejectCase{"torn_write.snap", Status::Code::kDataLoss},
+        RejectCase{"future_version.snap", Status::Code::kUnsupported},
+        RejectCase{"wrong_magic.snap", Status::Code::kDataLoss},
+        RejectCase{"empty.snap", Status::Code::kDataLoss},
+        RejectCase{"garbage.snap", Status::Code::kDataLoss}));
 
 TEST_P(CorpusRejectionTest, RejectedWithTypedStatus) {
   auto [name, code] = GetParam();
